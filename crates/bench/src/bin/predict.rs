@@ -1,4 +1,5 @@
-//! Packed-vs-float prediction microbenchmark.
+//! Prediction-kernel microbenchmark: packed LUT vs float, plus the PCA
+//! set-bit projector row.
 //!
 //! ```text
 //! cargo run --release -p pnw-bench --bin predict -- [--quick]
@@ -9,7 +10,7 @@
 //! perf-trajectory file) in the working directory. `--quick` shrinks the
 //! iteration count for CI smoke runs.
 
-use pnw_bench::predictbench::{default_cases, run_sweep, write_json};
+use pnw_bench::predictbench::{default_cases, measure_pca_case, run_sweep, write_json};
 use pnw_bench::Scale;
 
 fn main() {
@@ -58,7 +59,19 @@ fn main() {
             r.value_size, r.k, r.packed_ns, r.packed_scalar_ns, r.float_ns, r.speedup, r.simd_speedup
         );
     }
-    match write_json(&out, &results) {
+    let pca = measure_pca_case(iters, 0xACE5);
+    println!(
+        "\nPCA row: {}B, K = {}, {} components — predict {:.1} ns, projector {:.1} ns \
+         (scalar {:.1} ns, {:.1}x)",
+        pca.value_size,
+        pca.k,
+        pca.components,
+        pca.predict_ns,
+        pca.projector_ns,
+        pca.projector_scalar_ns,
+        pca.simd_speedup
+    );
+    match write_json(&out, &results, &pca) {
         Ok(()) => println!("\nwrote {}", out.display()),
         Err(e) => eprintln!("error writing {}: {e}", out.display()),
     }

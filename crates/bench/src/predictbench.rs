@@ -1,4 +1,4 @@
-//! Packed-vs-float prediction microbenchmark.
+//! Prediction-kernel microbenchmark.
 //!
 //! The paper budgets 5–6 µs of model latency per PUT (§VI-D, Figure 6);
 //! the bit-domain LUT kernel ([`pnw_ml::packed`]) replaces the float
@@ -7,10 +7,12 @@
 //! sizes and cluster counts, reporting ns/op — the numbers recorded in
 //! `BENCH_predict.json` by the `predict` binary.
 //!
-//! PCA is disabled for these cases (threshold raised above every measured
-//! size) so the float baseline is always the full featurize + dense-scan
-//! pipeline the packed kernel replaces; PCA-configured models keep the
-//! sparse projector path in production and are out of scope here.
+//! PCA is disabled for the packed sweep (threshold raised above every
+//! measured size) so the float baseline is always the full featurize +
+//! dense-scan pipeline the packed kernel replaces. One further row
+//! ([`measure_pca_case`]) keeps the default PCA policy on 256-B
+//! Amazon-like values and times the set-bit projector those models
+//! predict through, dispatched and scalar.
 
 use std::hint::black_box;
 use std::path::Path;
@@ -19,6 +21,7 @@ use std::time::Instant;
 use pnw_core::{ModelManager, PcaPolicy, PnwConfig, PredictScratch};
 use pnw_ml::featurize::bits_to_features;
 use pnw_ml::packed::PackedPredictor;
+use pnw_workloads::{SparseBinary, Workload};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// One (value size, cluster count) measurement point.
@@ -159,15 +162,86 @@ pub fn run_sweep(cases: &[PredictCase], iters: u64, seed: u64) -> Vec<PredictRes
     cases.iter().map(|&c| measure_case(c, iters, seed)).collect()
 }
 
+/// ns/op results for the PCA row.
+#[derive(Debug, Clone)]
+pub struct PcaPredictResult {
+    /// Value size in bytes.
+    pub value_size: usize,
+    /// Cluster count K.
+    pub k: usize,
+    /// PCA components the values are projected onto.
+    pub components: usize,
+    /// Timed iterations per path.
+    pub iters: u64,
+    /// The model's whole prediction (projection plus the PCA-space
+    /// centroid scan), nanoseconds per prediction.
+    pub predict_ns: f64,
+    /// `BitProjector::project_into` (runtime-dispatched SIMD), nanoseconds
+    /// per projection.
+    pub projector_ns: f64,
+    /// `BitProjector::project_into_scalar` on the same projector,
+    /// nanoseconds per projection.
+    pub projector_scalar_ns: f64,
+    /// `projector_scalar_ns / projector_ns`.
+    pub simd_speedup: f64,
+}
+
+/// Measures the PCA row: 256-B `SparseBinary::amazon_like` values, K = 14
+/// (fig6's knee), the default PCA policy. Same warm-up and rotating probe
+/// set as [`measure_case`].
+pub fn measure_pca_case(iters: u64, seed: u64) -> PcaPredictResult {
+    let iters = iters.max(1);
+    let mut w = SparseBinary::amazon_like(seed);
+    let cfg = PnwConfig::new(4096, w.value_size()).with_clusters(14).with_seed(seed);
+    let mut m = ModelManager::new(&cfg);
+    m.train(&w.take_values(2048));
+    let proj = m.projector().expect("256-B values exceed the PCA threshold");
+    let probes = w.take_values(64);
+    let mut scratch = PredictScratch::new();
+    let mut y = vec![0.0f32; proj.n_components()];
+    let mut sink = 0usize;
+    let mut time = |f: &mut dyn FnMut(&[u8]) -> usize| {
+        for v in probes.iter().cycle().take((iters / 8).max(1) as usize) {
+            sink ^= f(v);
+        }
+        let t0 = Instant::now();
+        for v in probes.iter().cycle().take(iters as usize) {
+            sink ^= f(black_box(v));
+        }
+        t0.elapsed().as_nanos() as f64 / iters as f64
+    };
+    let predict_ns = time(&mut |v| m.predict_into(v, &mut scratch));
+    let projector_ns = time(&mut |v| {
+        proj.project_into(v, &mut y);
+        y[0].to_bits() as usize
+    });
+    let projector_scalar_ns = time(&mut |v| {
+        proj.project_into_scalar(v, &mut y);
+        y[0].to_bits() as usize
+    });
+    black_box(sink);
+    PcaPredictResult {
+        value_size: w.value_size(),
+        k: m.k(),
+        components: proj.n_components(),
+        iters,
+        predict_ns,
+        projector_ns,
+        projector_scalar_ns,
+        simd_speedup: projector_scalar_ns / projector_ns.max(1e-9),
+    }
+}
+
 /// Serializes results as JSON (hand-rolled, like the throughput harness —
-/// the workspace has no JSON dependency) for `BENCH_predict.json`.
-pub fn to_json(results: &[PredictResult]) -> String {
+/// the workspace has no JSON dependency) for `BENCH_predict.json`: the
+/// packed sweep's rows, then the PCA row.
+pub fn to_json(results: &[PredictResult], pca: &PcaPredictResult) -> String {
     let mut out = String::from("{\n  \"bench\": \"predict\",\n  \"unit\": \"ns/op\",\n  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
+    for r in results {
         out.push_str(&format!(
             "    {{\"value_size\": {}, \"k\": {}, \"iters\": {}, \
              \"packed_ns\": {:.1}, \"packed_scalar_ns\": {:.1}, \"float_ns\": {:.1}, \
-             \"speedup\": {:.2}, \"simd_speedup\": {:.2}}}{}\n",
+             \"speedup\": {:.2}, \"simd_speedup\": {:.2}}},\n",
             r.value_size,
             r.k,
             r.iters,
@@ -176,16 +250,27 @@ pub fn to_json(results: &[PredictResult]) -> String {
             r.float_ns,
             r.speedup,
             r.simd_speedup,
-            if i + 1 < results.len() { "," } else { "" },
         ));
     }
-    out.push_str("  ]\n}\n");
+    out.push_str(&format!(
+        "    {{\"value_size\": {}, \"k\": {}, \"pca_components\": {}, \"iters\": {}, \
+         \"predict_ns\": {:.1}, \"projector_ns\": {:.1}, \"projector_scalar_ns\": {:.1}, \
+         \"simd_speedup\": {:.2}}}\n  ]\n}}\n",
+        pca.value_size,
+        pca.k,
+        pca.components,
+        pca.iters,
+        pca.predict_ns,
+        pca.projector_ns,
+        pca.projector_scalar_ns,
+        pca.simd_speedup,
+    ));
     out
 }
 
 /// Writes [`to_json`] output to `path`.
-pub fn write_json(path: &Path, results: &[PredictResult]) -> std::io::Result<()> {
-    std::fs::write(path, to_json(results))
+pub fn write_json(path: &Path, results: &[PredictResult], pca: &PcaPredictResult) -> std::io::Result<()> {
+    std::fs::write(path, to_json(results, pca))
 }
 
 #[cfg(test)]
@@ -206,12 +291,18 @@ mod tests {
 
     #[test]
     fn json_shape() {
-        let j = to_json(&run_sweep(&[PredictCase { value_size: 8, k: 2 }], 100, 3));
+        let pca = measure_pca_case(50, 3);
+        assert_eq!((pca.value_size, pca.k, pca.components), (256, 14, 32));
+        assert!(pca.predict_ns > 0.0 && pca.projector_ns > 0.0 && pca.projector_scalar_ns > 0.0);
+        let j = to_json(&run_sweep(&[PredictCase { value_size: 8, k: 2 }], 100, 3), &pca);
         assert!(j.contains("\"bench\": \"predict\""));
         assert!(j.contains("\"packed_ns\""));
         assert!(j.contains("\"packed_scalar_ns\""));
         assert!(j.contains("\"speedup\""));
         assert!(j.contains("\"simd_speedup\""));
+        assert!(j.contains("\"projector_ns\""));
+        assert!(j.contains("\"projector_scalar_ns\""));
+        assert!(j.trim_end().ends_with("}\n  ]\n}"), "{j}");
     }
 
     #[test]

@@ -149,6 +149,13 @@ impl ModelSnapshot {
         self.packed.is_some()
     }
 
+    /// The byte→PCA-space projector PCA models predict through (`None`
+    /// for bit-domain models) — what the equivalence tests and the predict
+    /// bench compare against its scalar reference.
+    pub fn projector(&self) -> Option<&BitProjector> {
+        self.projector.as_ref()
+    }
+
     /// The fitted K-means model — the reference float path the equivalence
     /// tests and the predict microbench compare the packed kernel against.
     pub fn kmeans(&self) -> &KMeans {
@@ -320,6 +327,11 @@ impl ModelManager {
     /// Whether the current snapshot predicts through the packed LUT kernel.
     pub fn uses_packed(&self) -> bool {
         self.current.uses_packed()
+    }
+
+    /// [`ModelSnapshot::projector`] of the current snapshot.
+    pub fn projector(&self) -> Option<&BitProjector> {
+        self.current.projector()
     }
 
     #[allow(clippy::too_many_arguments)]

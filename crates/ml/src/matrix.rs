@@ -138,14 +138,6 @@ impl Matrix {
         out
     }
 
-    /// `self * v` for a vector `v` of length `cols`.
-    pub fn mat_vec(&self, v: &[f32]) -> Vec<f32> {
-        assert_eq!(v.len(), self.cols);
-        self.iter_rows()
-            .map(|row| dot(row, v))
-            .collect()
-    }
-
     /// `selfᵀ * v` for a vector `v` of length `rows`.
     pub fn t_mat_vec(&self, v: &[f32]) -> Vec<f32> {
         assert_eq!(v.len(), self.rows);
@@ -246,7 +238,8 @@ mod tests {
     #[test]
     fn mat_vec_and_transpose() {
         let m = Matrix::from_rows(&[vec![1.0f32, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        assert_eq!(m.mat_vec(&[1.0, 1.0]), vec![3.0, 7.0, 11.0]);
+        let rows_dot: Vec<f32> = m.iter_rows().map(|r| dot(r, &[1.0, 1.0])).collect();
+        assert_eq!(rows_dot, vec![3.0, 7.0, 11.0]);
         assert_eq!(m.t_mat_vec(&[1.0, 0.0, 1.0]), vec![6.0, 8.0]);
     }
 

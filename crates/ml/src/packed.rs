@@ -26,6 +26,7 @@
 //! touching one K-float stripe per byte.
 
 use crate::matrix::Matrix;
+use crate::simd::{stripe_accumulate, stripe_accumulate_scalar};
 
 /// A K-means predictor specialized to 0/1 (bit-feature) inputs, operating
 /// directly on the raw value bytes via packed lookup tables.
@@ -96,16 +97,11 @@ impl PackedPredictor {
         self.input_bytes
     }
 
-    /// Approximate DRAM held by the lookup tables, in bytes.
-    pub fn table_bytes(&self) -> usize {
-        (self.lut.len() + self.norms.len()) * std::mem::size_of::<f32>()
-    }
-
     /// Computes the squared distance from `bytes` (as a bit vector) to
     /// every centroid into `out`, returning the argmin cluster. Performs no
     /// allocation.
     ///
-    /// Dispatches to the AVX2 LUT-gather kernel when the CPU supports it
+    /// Dispatches to the shared AVX2 stripe kernel when the CPU supports it
     /// (see [`crate::simd::simd_active`]); the result is **bit-for-bit**
     /// identical to [`PackedPredictor::distances_into_scalar`] either way —
     /// each centroid's f32 accumulation runs in the same byte-position
@@ -118,7 +114,9 @@ impl PackedPredictor {
         assert_eq!(out.len(), self.k, "distance buffer length mismatch");
         // Accumulate ⟨c, x⟩ for all centroids in one pass over the bytes.
         out.fill(0.0);
-        crate::simd::lut_accumulate(&self.lut, self.k, bytes, out);
+        // SAFETY: `bytes.len() == input_bytes`, so every row is below
+        // `input_bytes · 256`, the LUT's row count.
+        unsafe { stripe_accumulate(&self.lut, self.k, lut_rows(bytes.iter().copied()), out) };
         self.finalize(popcount_bytes(bytes) as f32, out)
     }
 
@@ -132,7 +130,7 @@ impl PackedPredictor {
         assert_eq!(bytes.len(), self.input_bytes, "value length mismatch");
         assert_eq!(out.len(), self.k, "distance buffer length mismatch");
         out.fill(0.0);
-        crate::simd::lut_accumulate_scalar(&self.lut, self.k, bytes, out);
+        stripe_accumulate_scalar(&self.lut, self.k, lut_rows(bytes.iter().copied()), out);
         self.finalize(popcount_bytes(bytes) as f32, out)
     }
 
@@ -152,35 +150,17 @@ impl PackedPredictor {
         );
         assert_eq!(out.len(), self.k, "distance buffer length mismatch");
         out.fill(0.0);
+        // SAFETY: `words` holds at least `input_bytes` bytes (asserted
+        // above) and u8 has no alignment requirement; on little-endian
+        // targets they are the value's byte stream.
         #[cfg(target_endian = "little")]
-        {
-            // On little-endian targets the packed words *are* the byte
-            // stream, so the training kernel shares the SIMD LUT-gather
-            // with the prediction path.
-            // SAFETY: `words` holds at least `input_bytes` bytes (asserted
-            // above) and u8 has no alignment requirement.
-            let bytes = unsafe {
-                std::slice::from_raw_parts(words.as_ptr() as *const u8, self.input_bytes)
-            };
-            crate::simd::lut_accumulate(&self.lut, self.k, bytes, out);
-        }
+        let bytes = unsafe { std::slice::from_raw_parts(words.as_ptr() as *const u8, self.input_bytes) }
+            .iter()
+            .copied();
         #[cfg(not(target_endian = "little"))]
-        {
-            let k = self.k;
-            let mut pos = 0usize;
-            'words: for &w in words {
-                for b in w.to_le_bytes() {
-                    if pos == self.input_bytes {
-                        break 'words;
-                    }
-                    let row = &self.lut[(pos * 256 + b as usize) * k..][..k];
-                    for (acc, &x) in out.iter_mut().zip(row) {
-                        *acc += x;
-                    }
-                    pos += 1;
-                }
-            }
-        }
+        let bytes = words.iter().flat_map(|w| w.to_le_bytes()).take(self.input_bytes);
+        // SAFETY: `input_bytes` bytes give rows below the LUT's row count.
+        unsafe { stripe_accumulate(&self.lut, self.k, lut_rows(bytes), out) };
         self.finalize(pop as f32, out)
     }
 
@@ -205,6 +185,12 @@ impl PackedPredictor {
         let mut dist = vec![0.0f32; self.k];
         self.distances_into(bytes, &mut dist)
     }
+}
+
+/// The LUT row of each (position, byte) pair of a value, in position order.
+#[inline(always)]
+fn lut_rows(bytes: impl Iterator<Item = u8>) -> impl Iterator<Item = usize> {
+    bytes.enumerate().map(|(pos, b)| pos * 256 + b as usize)
 }
 
 /// Population count of a byte slice, eight bytes per `popcnt`

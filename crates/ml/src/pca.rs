@@ -13,6 +13,7 @@
 
 use crate::linalg::sym_eigen;
 use crate::matrix::Matrix;
+use crate::simd::{stripe_accumulate, stripe_accumulate_scalar};
 
 /// A fitted PCA projection.
 #[derive(Debug, Clone)]
@@ -160,11 +161,6 @@ impl Pca {
         self.components.rows()
     }
 
-    /// Input dimensionality.
-    pub fn input_dims(&self) -> usize {
-        self.components.cols()
-    }
-
     /// Explained-variance ratio per spectral component (descending) — the
     /// series behind Figure 3.
     pub fn explained_variance_ratio(&self) -> Vec<f64> {
@@ -202,9 +198,20 @@ impl Pca {
 
     /// Projects a single sample onto the retained components.
     pub fn transform_row(&self, x: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0f32; self.n_components()];
+        self.transform_row_into(x, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// [`Pca::transform_row`] into `out`, centring through the reusable
+    /// `centered` buffer.
+    fn transform_row_into(&self, x: &[f32], centered: &mut Vec<f32>, out: &mut [f32]) {
         assert_eq!(x.len(), self.mean.len(), "dimension mismatch");
-        let centered: Vec<f32> = x.iter().zip(&self.mean).map(|(a, m)| a - m).collect();
-        self.components.mat_vec(&centered)
+        centered.clear();
+        centered.extend(x.iter().zip(&self.mean).map(|(a, m)| a - m));
+        for (o, axis) in out.iter_mut().zip(self.components.iter_rows()) {
+            *o = crate::matrix::dot(axis, centered);
+        }
     }
 
     /// Projects every row of `data`.
@@ -212,40 +219,28 @@ impl Pca {
         self.transform_with_threads(data, 1)
     }
 
-    /// Projects every row of `data` with `threads` workers.
+    /// Projects every row of `data` with `threads` workers, each writing
+    /// its band of output rows in place (one centring buffer per worker).
     pub fn transform_with_threads(&self, data: &Matrix, threads: usize) -> Matrix {
-        let n = data.rows();
-        if n == 0 {
-            return Matrix::zeros(0, self.n_components());
-        }
-        let threads = threads.max(1).min(n);
-        if threads == 1 {
-            let rows: Vec<Vec<f32>> = data.iter_rows().map(|r| self.transform_row(r)).collect();
-            return Matrix::from_rows(&rows);
-        }
-        let nc = self.n_components();
+        let (n, nc) = (data.rows(), self.n_components());
         let mut out = Matrix::zeros(n, nc);
-        let chunk = n.div_ceil(threads);
-        // Split the output into per-thread row bands.
-        let mut bands: Vec<&mut [f32]> = Vec::new();
-        {
-            let mut rest = out.as_mut_slice();
-            while !rest.is_empty() {
-                let take = (chunk * nc).min(rest.len());
-                let (band, r) = rest.split_at_mut(take);
-                bands.push(band);
-                rest = r;
-            }
+        if n == 0 || nc == 0 {
+            return out;
         }
-        std::thread::scope(|scope| {
-            for (t, band) in bands.into_iter().enumerate() {
-                scope.spawn(move || {
-                    for (off, dst) in band.chunks_mut(nc).enumerate() {
-                        let i = t * chunk + off;
-                        dst.copy_from_slice(&self.transform_row(data.row(i)));
-                    }
-                });
+        let chunk = n.div_ceil(threads.max(1).min(n));
+        let project_band = |first: usize, band: &mut [f32]| {
+            let mut centered = Vec::with_capacity(self.mean.len());
+            for (off, dst) in band.chunks_mut(nc).enumerate() {
+                self.transform_row_into(data.row(first + off), &mut centered, dst);
             }
+        };
+        let mut bands = out.as_mut_slice().chunks_mut(chunk * nc).enumerate();
+        let (_, own) = bands.next().expect("n > 0");
+        std::thread::scope(|scope| {
+            for (t, band) in bands {
+                scope.spawn(move || project_band(t * chunk, band));
+            }
+            project_band(0, own);
         });
         out
     }
@@ -276,36 +271,81 @@ impl BitProjector {
         self.n_components
     }
 
-    /// Projects a raw byte value (must match the fitted dimensionality).
-    pub fn project(&self, bytes: &[u8]) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.n_components];
-        self.project_into(bytes, &mut y);
-        y
-    }
-
     /// Projects a raw byte value into a caller-provided buffer — the
     /// allocation-free variant the store's per-shard scratch uses.
+    ///
+    /// Runs the shared AVX2 stripe kernel ([`crate::simd`]) when the CPU
+    /// supports it; the result is **bit-for-bit** identical to
+    /// [`BitProjector::project_into_scalar`] either way — each component's
+    /// f32 sum adds the set bits' rows in the same ascending order.
     ///
     /// # Panics
     /// Panics if `bytes` does not match the fitted dimensionality or
     /// `out.len() != self.n_components()`.
     pub fn project_into(&self, bytes: &[u8], out: &mut [f32]) {
+        self.project_with(stripe_accumulate, bytes, out);
+    }
+
+    /// Scalar reference for [`BitProjector::project_into`]: identical
+    /// semantics and results, never uses SIMD. Kept public as the
+    /// equivalence baseline for tests and the benchmark's scalar column.
+    ///
+    /// # Panics
+    /// As [`BitProjector::project_into`].
+    pub fn project_into_scalar(&self, bytes: &[u8], out: &mut [f32]) {
+        self.project_with(stripe_accumulate_scalar, bytes, out);
+    }
+
+    #[inline(always)]
+    fn project_with<'v>(&self, kernel: unsafe fn(&[f32], usize, SetBits<'v>, &mut [f32]), bytes: &'v [u8], out: &mut [f32]) {
         assert_eq!(bytes.len(), self.input_bytes, "dimension mismatch");
         assert_eq!(out.len(), self.n_components, "output buffer mismatch");
-        let y = out;
-        y.copy_from_slice(&self.offset);
-        let nc = self.n_components;
-        for (i, &b) in bytes.iter().enumerate() {
-            let mut rest = b;
-            while rest != 0 {
-                let bit = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                let row = &self.transposed[(i * 8 + bit) * nc..(i * 8 + bit + 1) * nc];
-                for (o, w) in y.iter_mut().zip(row) {
-                    *o += w;
-                }
-            }
+        out.copy_from_slice(&self.offset);
+        // SAFETY: the set bits of an `input_bytes`-byte value index below
+        // `input_bytes · 8`, the transposed matrix's row count.
+        unsafe { kernel(&self.transposed, self.n_components, SetBits::new(bytes), out) };
+    }
+}
+
+/// Indices of the set bits of a value (bit `i` of byte `p` is `8p + i`), in
+/// ascending order: one little-endian `u64` word at a time, lowest set bit
+/// first (`tzcnt`, then `blsr`), the byte tail zero-padded into a last
+/// word. A hand-written `next`, not a `flat_map`, so it inlines into the
+/// stripe kernel's loop.
+struct SetBits<'a> {
+    words: std::slice::ChunksExact<'a, u8>,
+    tail: Option<u64>,
+    word: u64,
+    /// Bit index of `word`'s bit 0 (wraps to 0 on the first word).
+    base: usize,
+}
+
+impl<'a> SetBits<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        let words = bytes.chunks_exact(8);
+        let rest = words.remainder();
+        let mut pad = [0u8; 8];
+        pad[..rest.len()].copy_from_slice(rest);
+        let tail = (!rest.is_empty()).then(|| u64::from_le_bytes(pad));
+        SetBits { words, tail, word: 0, base: 0usize.wrapping_sub(64) }
+    }
+}
+
+impl Iterator for SetBits<'_> {
+    type Item = usize;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            self.word = match self.words.next() {
+                Some(w) => u64::from_le_bytes(w.try_into().expect("8-byte chunk")),
+                None => self.tail.take()?,
+            };
+            self.base = self.base.wrapping_add(64);
         }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
     }
 }
 
@@ -457,7 +497,8 @@ mod tests {
         let proj = pca.bit_projector();
         for v in &values {
             let slow = pca.transform_row(&bits_to_features(v));
-            let fast = proj.project(v);
+            let mut fast = vec![0.0f32; proj.n_components()];
+            proj.project_into(v, &mut fast);
             assert_eq!(slow.len(), fast.len());
             for (a, b) in slow.iter().zip(&fast) {
                 assert!((a - b).abs() < 1e-3, "{slow:?} vs {fast:?}");
@@ -484,6 +525,77 @@ mod tests {
                     .sum();
                 let expect = if i == j { 1.0 } else { 0.0 };
                 assert!((d - expect).abs() < 1e-3, "({i},{j}) dot={d}");
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A synthetic projector: exactness is a kernel property, independent
+    /// of how the basis was fit, so random weights cover every width.
+    fn random_projector(n_components: usize, input_bytes: usize, next: &mut impl FnMut() -> u64) -> BitProjector {
+        let mut weight = || (next() % 20_001) as f32 / 1e4 - 1.0;
+        BitProjector {
+            n_components,
+            input_bytes,
+            transposed: (0..input_bytes * 8 * n_components).map(|_| weight()).collect(),
+            offset: (0..n_components).map(|_| weight()).collect(),
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dispatched projection equals the scalar reference bit for
+        /// bit, and both equal the plain ascending walk over every bit
+        /// feature — across component counts on and off the SIMD widths,
+        /// value lengths that are not whole `u64` words, and each density:
+        /// empty, sparse, half and all-ones.
+        #[test]
+        fn projection_simd_matches_scalar_bit_for_bit(
+            seed in 0u64..5000,
+            n_components in 1usize..41,
+            input_bytes in 1usize..301,
+        ) {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(3);
+            let mut next = || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let proj = random_projector(n_components, input_bytes, &mut next);
+            for density in 0..4 {
+                let value: Vec<u8> = (0..input_bytes)
+                    .map(|_| match density {
+                        0 => 0,
+                        1 => (next() & next() & next()) as u8,
+                        2 => next() as u8,
+                        _ => 0xFF,
+                    })
+                    .collect();
+
+                let mut simd = vec![0.0f32; n_components];
+                let mut scalar = vec![0.0f32; n_components];
+                proj.project_into(&value, &mut simd);
+                proj.project_into_scalar(&value, &mut scalar);
+                prop_assert_eq!(bits(&simd), bits(&scalar), "density {}", density);
+
+                let mut naive = proj.offset.clone();
+                for j in (0..input_bytes * 8).filter(|j| value[j / 8] >> (j % 8) & 1 == 1) {
+                    for (o, w) in naive.iter_mut().zip(&proj.transposed[j * n_components..]) {
+                        *o += w;
+                    }
+                }
+                prop_assert_eq!(bits(&scalar), bits(&naive), "density {}", density);
             }
         }
     }

@@ -131,6 +131,31 @@ fn pca_model_predicts_identically_through_scratch() {
     }
 }
 
+/// The store's PCA prediction (dispatched set-bit projector, then the
+/// PCA-space scan) leaves exactly the distances of the scalar reference
+/// projection in the scratch — bit for bit, on 256-B Amazon-like rows.
+#[test]
+fn pca_scratch_distances_equal_scalar_projection_exactly() {
+    use pnw_workloads::{SparseBinary, Workload};
+    let mut w = SparseBinary::amazon_like(4);
+    let cfg = PnwConfig::new(1024, w.value_size()).with_clusters(14).with_seed(4);
+    assert!(cfg.uses_pca());
+    let mut m = ModelManager::new(&cfg);
+    m.train(&w.take_values(600));
+    let proj = m.projector().expect("PCA model predicts through the projector");
+    let mut scratch = PredictScratch::new();
+    let mut features = vec![0.0f32; proj.n_components()];
+    let mut reference = vec![0.0f32; m.k()];
+    for v in w.take_values(100) {
+        let c = m.predict_into(&v, &mut scratch);
+        proj.project_into_scalar(&v, &mut features);
+        let best = m.kmeans().distances_into(&features, &mut reference);
+        assert_eq!(c, best);
+        let bits = |d: &[f32]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(scratch.distances()), bits(&reference));
+    }
+}
+
 /// Retraining swaps centroids; the packed LUTs must be rebuilt with them
 /// (stale tables would keep predicting under the old geometry).
 #[test]
