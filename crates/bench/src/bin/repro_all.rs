@@ -2,28 +2,6 @@
 //! Pass --quick for a smoke run.
 use pnw_bench::{figures, Scale};
 
-fn main() {
-    let scale = Scale::from_env();
-    println!("== PNW reproduction: all tables and figures ({scale:?}) ==\n");
-
-    println!("Table I — memory technologies\n{}", figures::table1().render());
-    println!("Table II — worked clustering example\n{}", figures::table2().render());
-    println!("Figure 3 — PCA cumulative variance\n{}", figures::fig3(scale).render());
-    let (t4, elbow) = figures::fig4(scale);
-    println!("Figure 4 — SSE vs K\n{}\nelbow at K = {elbow}\n", t4.render());
-    for d in figures::fig6_datasets() {
-        println!("Figure 6 — {}\n{}", d.name(), figures::fig6(d, scale).render());
-    }
-    println!("Figure 7 — normalized write latency\n{}", figures::fig7(scale).render());
-    println!("Figure 8 — latency vs K (PubMed-like)\n{}", figures::fig8(scale).render());
-    println!("Figure 9 — written cache lines per request\n{}", figures::fig9(scale).render());
-    let (t10, _) = figures::fig10(scale);
-    println!("Figure 10 — workload shift\n{}", t10.render());
-    println!("Figure 11 — training time\n{}", figures::fig11(scale).render());
-    for k in [5usize, 30] {
-        let r = figures::fig12_13(k, scale);
-        let (tw, tb) = figures::wear_tables(k, &r);
-        println!("Figure 12 (k={k})\n{}", tw.render());
-        println!("Figure 13 (k={k})\n{}", tb.render());
-    }
+fn main() -> std::io::Result<()> {
+    figures::write_all(Scale::from_env(), &mut std::io::stdout().lock())
 }

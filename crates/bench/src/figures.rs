@@ -466,6 +466,33 @@ pub fn wear_tables(k: usize, r: &WearResult) -> (Table, Table) {
     (tw, tb)
 }
 
+/// Writes every table and figure in paper order — the whole reproduction,
+/// exactly as the `repro_all` binary prints it.
+pub fn write_all(scale: Scale, out: &mut impl std::io::Write) -> std::io::Result<()> {
+    writeln!(out, "== PNW reproduction: all tables and figures ({scale:?}) ==\n")?;
+    writeln!(out, "Table I — memory technologies\n{}", table1().render())?;
+    writeln!(out, "Table II — worked clustering example\n{}", table2().render())?;
+    writeln!(out, "Figure 3 — PCA cumulative variance\n{}", fig3(scale).render())?;
+    let (t4, elbow) = fig4(scale);
+    writeln!(out, "Figure 4 — SSE vs K\n{}\nelbow at K = {elbow}\n", t4.render())?;
+    for d in fig6_datasets() {
+        writeln!(out, "Figure 6 — {}\n{}", d.name(), fig6(d, scale).render())?;
+    }
+    writeln!(out, "Figure 7 — normalized write latency\n{}", fig7(scale).render())?;
+    writeln!(out, "Figure 8 — latency vs K (PubMed-like)\n{}", fig8(scale).render())?;
+    writeln!(out, "Figure 9 — written cache lines per request\n{}", fig9(scale).render())?;
+    let (t10, _) = fig10(scale);
+    writeln!(out, "Figure 10 — workload shift\n{}", t10.render())?;
+    writeln!(out, "Figure 11 — training time\n{}", fig11(scale).render())?;
+    for k in [5usize, 30] {
+        let r = fig12_13(k, scale);
+        let (tw, tb) = wear_tables(k, &r);
+        writeln!(out, "Figure 12 (k={k})\n{}", tw.render())?;
+        writeln!(out, "Figure 13 (k={k})\n{}", tb.render())?;
+    }
+    Ok(())
+}
+
 /// Table I: memory-technology characteristics (the constants the latency
 /// model uses).
 pub fn table1() -> Table {

@@ -11,8 +11,8 @@
 //!   runs as a quick smoke test or a full reproduction.
 //! * [`table`] — plain-text table rendering for the harness binaries.
 //! * [`throughput`] — the multi-threaded throughput harness over any
-//!   [`Store`](pnw_core::Store) backend (sharded PNW, single-lock PNW,
-//!   FPTree, NoveLSM, Path hashing): configurable thread count,
+//!   [`Store`](pnw_core::Store) backend (PNW at any shard count, FPTree,
+//!   NoveLSM, Path hashing): configurable thread count,
 //!   PUT/GET/DELETE mix, Zipfian keys and an optional
 //!   [`Store::apply`](pnw_core::Store::apply) batch size, reporting
 //!   ops/sec plus p50/p99 modeled and prediction latency. (Figure 9 and

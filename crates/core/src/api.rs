@@ -4,16 +4,15 @@
 //! through one interface. This module is that interface made first-class:
 //!
 //! * [`Store`] — the `&self`-based key/value contract every backend
-//!   implements: [`PnwStore`](crate::PnwStore),
-//!   [`ShardedPnwStore`](crate::ShardedPnwStore), and the three baselines
-//!   in `pnw-baselines`. Because every method takes `&self`, any backend
+//!   implements: the PNW store ([`PnwStore`](crate::PnwStore), the paper's
+//!   name for [`ShardedPnwStore`](crate::ShardedPnwStore)) and the three
+//!   baselines in `pnw-baselines`. Because every method takes `&self`, any backend
 //!   can be shared across threads behind an `Arc<dyn Store>` and driven by
 //!   the same concurrent harness.
 //! * [`Batch`] / [`Op`] / [`BatchReport`] — the batched write API.
 //!   [`Store::apply`] executes a group of PUT/DELETE operations in one
 //!   call; backends override the default per-op loop to amortize work
-//!   across the group. [`ShardedPnwStore`](crate::ShardedPnwStore) groups
-//!   the batch by shard and takes each shard's write lock **at most once
+//!   across the group. The PNW store groups the batch by shard and takes each shard's write lock **at most once
 //!   per batch**, predicting through the shard's already-loaded model
 //!   snapshot and reusing its prediction scratch across the whole group.
 //!

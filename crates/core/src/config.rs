@@ -1,9 +1,7 @@
 //! Store configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Where the hash index lives (§V-A.3, Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexPlacement {
     /// Figure 2a: DRAM index — zero NVM bit flips, rebuilt on recovery.
     /// The right choice for small keys.
@@ -15,7 +13,7 @@ pub enum IndexPlacement {
 }
 
 /// Where a store's state lives between processes.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum BackingMode {
     /// DRAM-emulated only (the paper's evaluation setting): nothing
     /// survives the process. Stores are built with `new`.
@@ -29,7 +27,7 @@ pub enum BackingMode {
 }
 
 /// How UPDATE operations are executed (§V-B.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdatePolicy {
     /// Endurance-first (the paper's default): DELETE then PUT, so the new
     /// version lands on the most bit-similar free location.
@@ -40,7 +38,7 @@ pub enum UpdatePolicy {
 }
 
 /// When the model is retrained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetrainMode {
     /// Only when [`PnwStore::retrain_now`](crate::PnwStore::retrain_now) is
     /// called.
@@ -54,7 +52,7 @@ pub enum RetrainMode {
 }
 
 /// Dimensionality-reduction policy (§V-A.1, "curse of dimensionality").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PcaPolicy {
     /// Apply PCA when a value's bit count exceeds this threshold. The paper:
     /// *"small (e.g. 64 bit) data elements can be directly passed to the
@@ -131,7 +129,7 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Full configuration of a [`PnwStore`](crate::PnwStore).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PnwConfig {
     /// Number of data-zone buckets.
     pub capacity: usize,
@@ -183,18 +181,15 @@ pub struct PnwConfig {
     /// counts on a training subsample. `clusters` is then only the initial
     /// placeholder.
     pub auto_k: Option<(usize, usize)>,
-    /// Shard count for [`ShardedPnwStore`](crate::ShardedPnwStore): the
-    /// data zone is split into this many independent slices, each with its
-    /// own device region, index and address pool, routed by key hash. `1`
-    /// (the default) reproduces the single-threaded
-    /// [`PnwStore`](crate::PnwStore) behavior bit-for-bit. Ignored by
-    /// `PnwStore` itself.
+    /// Shard count: the data zone is split into this many independent
+    /// slices, each with its own device region, index and address pool,
+    /// routed by key hash. `1` (the default) is the one-shard system of
+    /// the paper's Algorithms 1–3.
     pub shards: usize,
     /// Where the store's state lives between processes:
     /// [`BackingMode::Volatile`] (default) for the in-process emulated
     /// device, [`BackingMode::File`] for a durable directory opened with
-    /// [`PnwStore::open`](crate::PnwStore::open) /
-    /// [`ShardedPnwStore::open`](crate::ShardedPnwStore::open).
+    /// [`PnwStore::open`](crate::PnwStore::open).
     pub backing: BackingMode,
     /// Capacity of each shard's bounded write queue in the sharded
     /// store's single-writer path. A writer that finds the shard's engine
@@ -442,7 +437,7 @@ impl PnwConfig {
         self.value_size * 8 > self.pca.threshold_bits
     }
 
-    /// Checks the invariants every store frontend relies on. The builder
+    /// Checks the invariants the store relies on. The builder
     /// methods clamp their inputs, but all fields are public — this is the
     /// boundary check for hand-assembled configs.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -615,18 +610,5 @@ mod tests {
         assert!(e.to_string().contains('9'));
         assert!(e.to_string().contains('4'));
         assert!(ConfigError::BadLoadFactor(2.0).to_string().contains("(0, 1]"));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let c = PnwConfig::new(100, 8).with_clusters(5);
-        let s = serde_json_like(&c);
-        assert!(s.contains("capacity"));
-    }
-
-    /// serde is in the allowed dependency list but no JSON crate is; this
-    /// just exercises the Serialize derive through the debug formatter.
-    fn serde_json_like(c: &PnwConfig) -> String {
-        format!("{c:?}")
     }
 }

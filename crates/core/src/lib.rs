@@ -17,23 +17,20 @@
 //!   NVM Path Hashing (Figure 2b), both via `pnw-index`.
 //! * **K/V data zone** — fixed-size buckets on the emulated NVM device.
 //!
-//! Two store frontends compose these pieces:
-//!
-//! * [`PnwStore`] — the single-threaded reference store the figure
-//!   harnesses drive; one [`shard::ShardEngine`] plus a private model.
-//! * [`ShardedPnwStore`] — N engines routed by key hash behind per-shard
-//!   locks, sharing one background-retrained model; PUT/GET/DELETE take
-//!   `&self` and scale across threads. `shards = 1` reproduces
-//!   [`PnwStore`] bit-for-bit.
+//! One store composes these pieces: [`ShardedPnwStore`] routes keys by
+//! hash to N [`shard::ShardEngine`]s (each a device slice, hash index and
+//! address pool) sharing one background-retrained model. PUT/GET/DELETE
+//! take `&self` and scale across threads. [`PnwStore`], the paper's name
+//! for the system, is the same type; its default configuration has one
+//! shard, which is the system exactly as Algorithms 1–3 describe it.
 //!
 //! ## The public API
 //!
-//! Every store frontend — and the baseline stores in `pnw-baselines` —
-//! implements the [`api::Store`] trait: `&self`-based `put` / `get` /
-//! `get_into` / `delete` / `snapshot` with the unified
-//! [`StoreError`], plus the batched-write entry point
-//! [`api::Store::apply`] over [`Batch`]/[`Op`]. See [`api`] for the
-//! contract and batch semantics.
+//! The store — and the baseline stores in `pnw-baselines` — implements
+//! the [`api::Store`] trait: `&self`-based `put` / `get` / `get_into` /
+//! `delete` / `snapshot` with the unified [`StoreError`], plus the
+//! batched-write entry point [`api::Store::apply`] over [`Batch`]/[`Op`].
+//! See [`api`] for the contract and batch semantics.
 //!
 //! ## Quickstart
 //!
@@ -59,7 +56,7 @@
 //! ```
 //!
 //! Batched writes amortize per-op overhead (one lock acquisition and one
-//! model-snapshot load per shard per batch on the sharded store):
+//! model-snapshot load per shard per batch):
 //!
 //! ```
 //! use pnw_core::{Batch, PnwConfig, ShardedPnwStore, Store};
@@ -85,7 +82,6 @@ pub mod model;
 pub mod pool;
 pub mod shard;
 pub mod sharded;
-pub mod store;
 
 pub use api::{Batch, BatchReport, Op, Store};
 pub use config::{
@@ -100,4 +96,14 @@ pub use model::{ModelManager, ModelSnapshot, PredictScratch};
 pub use pool::DynamicAddressPool;
 pub use shard::{now_unix_ms, PutPath, ShardEngine};
 pub use sharded::ShardedPnwStore;
-pub use store::PnwStore;
+
+/// The paper's name for the store. It is [`ShardedPnwStore`] itself, so
+/// `PnwStore::new(cfg)` with the default `cfg.shards = 1` builds the
+/// one-shard store of Figure 2.
+pub type PnwStore = ShardedPnwStore;
+
+/// Unit tests of the store under its paper name.
+#[cfg(test)]
+mod store {
+    mod tests;
+}

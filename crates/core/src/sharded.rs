@@ -1,6 +1,7 @@
-//! The sharded, thread-safe PNW store.
+//! The PNW store: sharded and thread-safe.
 //!
-//! [`ShardedPnwStore`] splits the data zone into N independent
+//! [`ShardedPnwStore`] (also exported under the paper's name,
+//! [`PnwStore`](crate::PnwStore)) splits the data zone into N independent
 //! [`ShardEngine`]s — each with its own device slice, hash index and
 //! dynamic address pool — and routes every key to one shard by hash.
 //! Operations on different shards run fully in parallel. Within one shard
@@ -16,8 +17,9 @@
 //!   executes it and fills the slot. A full queue returns
 //!   [`StoreError::Backpressure`] instead of blocking — explicit feedback
 //!   in place of lock convoying. A single-threaded client always wins the
-//!   `try_lock`, so with `shards = 1` the store behaves byte-for-byte
-//!   like the single-threaded [`PnwStore`](crate::PnwStore).
+//!   `try_lock`, so with `shards = 1` (the default) every op runs
+//!   inline, in submission order: the single-threaded system of the
+//!   paper's Algorithms 1–3.
 //!
 //! * **Reads (seqlock validation).** GETs take **zero locks** in steady
 //!   state. Each shard publishes a read view at construction — a
@@ -51,7 +53,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use pnw_index::IndexReader;
-use pnw_nvm_sim::{CellView, DeviceStats, WearCdf, WriteStats};
+use pnw_nvm_sim::{CellView, DeviceStats, LatencyModel, WearCdf, WriteStats};
 
 use crate::api::{Batch, BatchReport, Op, Store};
 use crate::config::{BackingMode, PnwConfig, RetrainMode};
@@ -868,6 +870,91 @@ impl ShardedPnwStore {
         merged.expect("at least one shard")
     }
 
+    /// Figure-13-style per-bit wear CDF over the combined active data
+    /// zones of all shards; `None` unless the store was built with
+    /// [`PnwConfig::with_bit_wear`]`(true)`.
+    pub fn bit_wear_cdf(&self) -> Option<WearCdf> {
+        let mut merged: Option<WearCdf> = None;
+        for s in self.shards.iter() {
+            let shard = s.engine.lock().unwrap();
+            let (start, len) = shard.data_zone_range();
+            let cdf = shard.device().bit_wear_cdf(start, len)?;
+            merged = Some(match merged {
+                Some(m) => m.merge(&cdf),
+                None => cdf,
+            });
+        }
+        merged
+    }
+
+    /// Clears every shard's wear counters (Figures 12/13 measure wear over
+    /// a stream that excludes warm-up writes).
+    pub fn reset_wear(&self) {
+        for s in self.shards.iter() {
+            s.engine.lock().unwrap().reset_wear();
+        }
+    }
+
+    /// The devices' latency model (every shard's device shares it).
+    pub fn latency_model(&self) -> LatencyModel {
+        self.shards[0].engine.lock().unwrap().device().latency_model()
+    }
+
+    /// Buckets currently in the active data zones of all shards.
+    pub fn active_capacity(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.engine.lock().unwrap().active_capacity())
+            .sum()
+    }
+
+    /// Reserved buckets not yet activated, across all shards.
+    pub fn reserve_remaining(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.engine.lock().unwrap().reserve_remaining())
+            .sum()
+    }
+
+    /// Extends the data zone by up to `buckets` reserved buckets (§V-C),
+    /// split as evenly as possible across shards.
+    ///
+    /// The freshly activated addresses join each shard's address pool
+    /// under the current model's labels; nothing in the NVM hash index
+    /// moves — *"our method to expand the size of a cluster does not
+    /// impose any extra writes to the NVM"*. Call
+    /// [`ShardedPnwStore::retrain_now`] (or rely on the load-factor
+    /// trigger) to refresh the model on the grown zone.
+    ///
+    /// Returns how many buckets were activated (0 when the reserve is
+    /// exhausted).
+    pub fn extend_zone(&self, buckets: usize) -> usize {
+        let n = self.shards.len();
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| s.engine.lock().unwrap().extend_zone(split(buckets, n, i)))
+            .sum()
+    }
+
+    /// Pre-fills every *free* bucket's cells with values from `gen`,
+    /// leaving them free. This reproduces the paper's experimental setup
+    /// (§VI-B: *"we first have set aside 5K buckets as the 'old data' on
+    /// the NVM"*): the pools then steer incoming writes onto bit-similar
+    /// stale content. Call [`ShardedPnwStore::retrain_now`] afterwards so
+    /// the model learns the prefilled distribution. Returns how many
+    /// buckets were filled.
+    pub fn prefill_free_buckets(
+        &self,
+        mut gen: impl FnMut() -> Vec<u8>,
+    ) -> Result<usize, StoreError> {
+        let mut filled = 0;
+        for s in self.shards.iter() {
+            filled += s.engine.lock().unwrap().prefill_free_buckets(&mut gen)?;
+        }
+        Ok(filled)
+    }
+
     /// Aggregated point-in-time snapshot: counters summed across shards,
     /// train stats from the shared trainer.
     pub fn snapshot(&self) -> StoreSnapshot {
@@ -982,6 +1069,23 @@ impl ShardedPnwStore {
     /// Model epoch (install/swap count) of the published snapshot.
     pub fn model_epoch(&self) -> u64 {
         self.trainer.lock().unwrap().snapshot().epoch()
+    }
+
+    /// Current cluster count K of the shared model.
+    pub fn model_k(&self) -> usize {
+        self.trainer.lock().unwrap().k()
+    }
+
+    /// Predicts the cluster for a value under the current model (the
+    /// standalone prediction kernel, for benches and diagnostics).
+    pub fn predict(&self, value: &[u8]) -> usize {
+        self.trainer.lock().unwrap().predict(value)
+    }
+
+    /// The current immutable model snapshot (centroids, packed LUTs,
+    /// projector) — an `Arc` clone, safe to inspect outside the lock.
+    pub fn model_snapshot(&self) -> Arc<crate::model::ModelSnapshot> {
+        self.trainer.lock().unwrap().snapshot()
     }
 
     /// Publishes the trainer's current snapshot to every shard: one `Arc`

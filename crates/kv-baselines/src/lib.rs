@@ -18,13 +18,12 @@
 //!   data-zone writes can't exploit similarity.
 //!
 //! All three implement the first-class [`Store`] trait from `pnw-core` —
-//! the same trait [`PnwStore`](pnw_core::PnwStore) and
-//! [`ShardedPnwStore`](pnw_core::ShardedPnwStore) implement — so the
-//! Figure 9 harness and the generic throughput harness drive all five
-//! backends uniformly, per-op or via [`Store::apply`] batches, with no
-//! adapter in between. Reads take `&self` (shared store lock +
+//! the same trait the PNW store ([`PnwStore`](pnw_core::PnwStore)) implements
+//! — so the Figure 9 harness and the generic throughput harness drive all
+//! four backends uniformly, per-op or via [`Store::apply`] batches, with
+//! no adapter in between. Reads take `&self` (shared store lock +
 //! [`pnw_nvm_sim::NvmDevice::peek`]), so the baselines can be driven
-//! concurrently behind an `Arc<dyn Store>` exactly like the PNW stores.
+//! concurrently behind an `Arc<dyn Store>` exactly like the PNW store.
 
 #![warn(missing_docs)]
 

@@ -749,11 +749,6 @@ impl NvmDevice {
         self.cells()
     }
 
-    /// Writes the cell image to a file.
-    pub fn save_image(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.cells())
-    }
-
     /// Reconstructs a device from a previously saved cell image; the image
     /// length overrides `cfg.size`. Counters start fresh (they model the
     /// *current session's* traffic, as the paper's measurements do).
@@ -762,11 +757,6 @@ impl NvmDevice {
         let mut dev = NvmDevice::new(cfg);
         dev.data = Arc::new(CellBuf::from_bytes(&image));
         dev
-    }
-
-    /// Loads a device from a cell-image file.
-    pub fn load_image(cfg: NvmConfig, path: &std::path::Path) -> std::io::Result<Self> {
-        Ok(Self::from_image(cfg, std::fs::read(path)?))
     }
 }
 
@@ -1046,17 +1036,6 @@ mod tests {
         // Session-local state starts fresh.
         assert_eq!(d2.stats().write_ops, 0);
         assert_eq!(d2.max_word_writes(), 0);
-    }
-
-    #[test]
-    fn image_file_roundtrip() {
-        let mut d = dev(128);
-        d.write(0, &[0xEE; 16], WriteMode::Raw).unwrap();
-        let path = std::env::temp_dir().join("pnw_nvm_image_test.bin");
-        d.save_image(&path).unwrap();
-        let d2 = NvmDevice::load_image(NvmConfig::default(), &path).unwrap();
-        assert_eq!(d2.peek(0, 16).unwrap(), &[0xEE; 16]);
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //! pnw> put 1 hello world
 //! pnw> get 1
 //! pnw> stats
-//! pnw> save /tmp/zone.img
+//! pnw> checkpoint
 //! ```
 //!
 //! Commands: `put <key> <text>`, `get <key>`, `del <key>`, `train`,
-//! `stats`, `extend <buckets>`, `save <path>`, `help`, `quit`.
-//! Start with `--image <path>` to reopen a saved cell image.
+//! `stats`, `extend <buckets>`, `checkpoint`, `help`, `quit`.
+//! Start with `--dir <path>` to run on a durable store in that directory
+//! (created on first use, reopened with every committed key afterwards);
+//! `quit` then closes it with a final checkpoint. Without `--dir` the
+//! store is volatile.
 //!
 //! `pnw-cli --throughput [--threads 1,2,4] [--shards N] [--ops N]` skips
 //! the shell and runs the multi-threaded throughput sweep over the sharded
@@ -26,7 +29,7 @@ struct CliArgs {
     value_size: usize,
     clusters: usize,
     reserve: usize,
-    image: Option<std::path::PathBuf>,
+    dir: Option<std::path::PathBuf>,
     throughput: bool,
     threads: Vec<usize>,
     shards: usize,
@@ -39,7 +42,7 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         value_size: 64,
         clusters: 8,
         reserve: 0,
-        image: None,
+        dir: None,
         throughput: false,
         threads: vec![1, 2, 4],
         shards: 8,
@@ -59,7 +62,7 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             }
             "--clusters" => out.clusters = grab("--clusters")?.parse().map_err(|e| format!("{e}"))?,
             "--reserve" => out.reserve = grab("--reserve")?.parse().map_err(|e| format!("{e}"))?,
-            "--image" => out.image = Some(grab("--image")?.into()),
+            "--dir" => out.dir = Some(grab("--dir")?.into()),
             "--throughput" => out.throughput = true,
             "--threads" => {
                 out.threads = grab("--threads")?
@@ -198,14 +201,14 @@ fn run_command(store: &PnwStore, line: &str) -> Result<String, String> {
                 s.mean_predict_latency(),
             ))
         }
-        "save" => {
-            let path = parts.next().ok_or("usage: save <path>")?;
-            store
-                .save_image(std::path::Path::new(path))
-                .map_err(|e| e.to_string())?;
-            Ok(format!("saved cell image to {path}"))
+        "checkpoint" => {
+            if !store.is_durable() {
+                return Ok("volatile store (start with --dir): nothing to checkpoint".into());
+            }
+            store.checkpoint().map_err(|e| e.to_string())?;
+            Ok("checkpoint cut".into())
         }
-        "help" => Ok("commands: put get del train extend stats save help quit".into()),
+        "help" => Ok("commands: put get del train extend stats checkpoint help quit".into()),
         other => Err(format!("unknown command '{other}' (try help)")),
     }
 }
@@ -214,7 +217,7 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|a| a == "--help" || a == "-h") {
         println!(
-            "pnw-cli [--capacity N] [--value-size N] [--clusters K] [--reserve N] [--image PATH]\n\
+            "pnw-cli [--capacity N] [--value-size N] [--clusters K] [--reserve N] [--dir PATH]\n\
              pnw-cli --throughput [--threads 1,2,4] [--shards N] [--ops N] [--value-size N]"
         );
         return;
@@ -233,18 +236,18 @@ fn main() {
     let cfg = PnwConfig::new(args.capacity, args.value_size)
         .with_clusters(args.clusters)
         .with_reserve(args.reserve);
-    let store = match &args.image {
-        Some(path) if path.exists() => match PnwStore::load_image(cfg, path) {
+    let store = match &args.dir {
+        Some(dir) => match PnwStore::open(cfg.with_path(dir)) {
             Ok(s) => {
-                println!("reopened image {} ({} live keys)", path.display(), s.len());
+                println!("opened {} ({} live keys)", dir.display(), s.len());
                 s
             }
             Err(e) => {
-                eprintln!("error: cannot open image: {e}");
+                eprintln!("error: cannot open {}: {e}", dir.display());
                 std::process::exit(2);
             }
         },
-        _ => PnwStore::new(cfg),
+        None => PnwStore::new(cfg),
     };
 
     let stdin = std::io::stdin();
@@ -268,10 +271,9 @@ fn main() {
             Err(e) => println!("error: {e}"),
         }
     }
-    if let Some(path) = &args.image {
-        if store.save_image(path).is_ok() {
-            println!("saved image to {}", path.display());
-        }
+    if let Err(e) = store.close() {
+        eprintln!("error: closing the store: {e}");
+        std::process::exit(1);
     }
 }
 
@@ -331,7 +333,25 @@ mod tests {
         assert_eq!(run_command(&store, "del 1").unwrap(), "deleted");
         assert_eq!(run_command(&store, "get 1").unwrap(), "(not found)");
         assert!(run_command(&store, "stats").unwrap().contains("live 0"));
+        assert!(run_command(&store, "checkpoint").unwrap().contains("volatile"));
         assert!(run_command(&store, "nope").is_err());
         assert_eq!(run_command(&store, "").unwrap(), "");
+    }
+
+    #[test]
+    fn durable_store_keeps_keys_across_cli_sessions() {
+        let dir = std::env::temp_dir().join(format!("pnw_cli_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = PnwConfig::new(16, 8).with_clusters(2).with_path(&dir);
+        let store = PnwStore::open(cfg.clone()).unwrap();
+        assert!(run_command(&store, "put 3 kept").unwrap().starts_with("ok"));
+        assert_eq!(run_command(&store, "checkpoint").unwrap(), "checkpoint cut");
+        assert!(run_command(&store, "put 4 logged").unwrap().starts_with("ok"));
+        store.close().unwrap();
+        let store = PnwStore::open(cfg).unwrap();
+        assert_eq!(run_command(&store, "get 3").unwrap(), "\"kept\"");
+        assert_eq!(run_command(&store, "get 4").unwrap(), "\"logged\"");
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

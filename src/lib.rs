@@ -37,10 +37,10 @@
 //!
 //! ## One `Store` trait, batched writes
 //!
-//! Every backend — [`PnwStore`], [`ShardedPnwStore`], and the three
-//! baseline stores in `pnw-baselines` — implements the `&self`-based
-//! [`Store`] trait, so one harness drives them all, per-op or in
-//! [`Batch`]es:
+//! [`PnwStore`] is the paper's name for [`ShardedPnwStore`] (one shard
+//! by default). It and the three baseline stores in `pnw-baselines` all
+//! implement the `&self`-based [`Store`] trait, so one harness drives
+//! them all, per-op or in [`Batch`]es:
 //!
 //! ```
 //! use pnw::{Batch, PnwConfig, ShardedPnwStore, Store};
@@ -58,10 +58,11 @@
 //!
 //! ## Concurrent store
 //!
-//! [`ShardedPnwStore`] serves PUT/GET/DELETE from many threads at once:
-//! keys are routed to independent shards by hash, and all shards share one
-//! background-retrained model. `shards = 1` reproduces [`PnwStore`]
-//! bit-for-bit.
+//! The store serves PUT/GET/DELETE from many threads at once: with
+//! `with_shards(n)` keys are routed to independent shards by hash, and
+//! all shards share one background-retrained model. At the default
+//! `shards = 1` a single-threaded client runs every op inline, in order —
+//! the paper's single-threaded system.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -92,7 +93,8 @@
 //! ## Durable persistence
 //!
 //! Give the config a path and the store survives process restarts — and
-//! crashes. Data-zone writes go write-through to a backing file, every
+//! crashes: a store dropped without `close` reopens the same way, with
+//! the index, pool and model rebuilt from NVM and the WAL. Data-zone writes go write-through to a backing file, every
 //! metadata mutation is logged to a CRC-framed WAL before it is
 //! acknowledged, and `checkpoint()` / `close()` cut atomic checkpoints
 //! (see *Durability & recovery* in `docs/ARCHITECTURE.md`):

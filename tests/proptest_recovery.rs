@@ -93,7 +93,10 @@ fn run_store_case(
                     skip,
                     keep_bytes: keep,
                 }),
-                Crash::Data { words } => store.arm_torn_write(words),
+                Crash::Data { words } => {
+                    let (Op::Put(key, _) | Op::Delete(key)) = op;
+                    store.arm_torn_write(store.shard_of_key(*key), words)
+                }
             }
         }
         match op {

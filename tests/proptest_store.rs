@@ -2,6 +2,8 @@
 //! core data-structure invariants under arbitrary operation sequences.
 
 use std::collections::HashMap;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
@@ -27,18 +29,30 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// A unique scratch directory per proptest case (cases share one process).
+fn case_dir() -> PathBuf {
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    let n = CASE.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("pnw_prop_model_{}_{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 fn check_against_model(
     ops: Vec<Op>,
     placement: IndexPlacement,
     policy: UpdatePolicy,
 ) -> Result<(), TestCaseError> {
-    let store = PnwStore::new(
-        PnwConfig::new(32, 8)
-            .with_clusters(3)
-            .with_seed(17)
-            .with_index(placement)
-            .with_update_policy(policy),
-    );
+    // File-backed, so a crash can be the real thing: drop the store
+    // without `close` and reopen it from its directory.
+    let dir = case_dir();
+    let cfg = PnwConfig::new(32, 8)
+        .with_clusters(3)
+        .with_seed(17)
+        .with_index(placement)
+        .with_update_policy(policy)
+        .with_path(&dir);
+    let mut store = PnwStore::open(cfg.clone()).expect("fresh open");
     let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
 
     for op in ops {
@@ -59,7 +73,8 @@ fn check_against_model(
                 store.retrain_now().expect("train");
             }
             Op::Crash => {
-                store.crash_and_recover().expect("recovery");
+                drop(store);
+                store = PnwStore::open(cfg.clone()).expect("recovery");
             }
         }
         prop_assert_eq!(store.len(), model.len());
@@ -69,6 +84,8 @@ fn check_against_model(
         let got = store.get(*k).expect("ok");
         prop_assert_eq!(got.as_ref(), Some(v));
     }
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }
 

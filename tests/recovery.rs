@@ -2,9 +2,10 @@
 //!
 //! Two layers of recovery are exercised here:
 //!
-//! * **Volatile reconstruction** (`crash_and_recover`) — the paper's
-//!   recovery story (§V-A.1): DRAM structures die, the NVM data zone
-//!   survives, everything is rebuilt from bucket headers.
+//! * **Reconstruction on reopen** — the paper's recovery story (§V-A.1):
+//!   a store dropped without `close` loses its DRAM structures, the NVM
+//!   data zone survives, and `open` rebuilds the index, pool and model
+//!   from it.
 //! * **The kill-and-reopen matrix** — the durable file-backed store:
 //!   {DRAM index, NVM Path-Hashing index} × {clean close, kill between
 //!   ops, torn superblock replica, torn mid-WAL record, half-written
@@ -20,14 +21,14 @@ use pnw_core::{
 };
 use pnw_workloads::{DatasetKind, Workload};
 
-fn populated_store(placement: IndexPlacement) -> (PnwStore, Vec<(u64, Vec<u8>)>) {
+/// Populates a durable store in `dir`, then crashes it: the store is
+/// dropped without `close`, so no checkpoint is cut and every DRAM-side
+/// structure (index if DRAM-resident, pool, model) dies with it. Returns
+/// the config to reopen with and the committed contents.
+fn crashed_store(placement: IndexPlacement, dir: &Path) -> (PnwConfig, Vec<(u64, Vec<u8>)>) {
     let mut w = DatasetKind::Amazon.build(21);
-    let vs = w.value_size();
-    let store = PnwStore::new(
-        PnwConfig::new(128, vs)
-            .with_clusters(4)
-            .with_index(placement),
-    );
+    let cfg = durable_cfg(placement, dir, w.value_size());
+    let store = PnwStore::open(cfg.clone()).expect("fresh open");
     let mut expected = Vec::new();
     for key in 0..64u64 {
         let v = w.next_value();
@@ -48,35 +49,43 @@ fn populated_store(placement: IndexPlacement) -> (PnwStore, Vec<(u64, Vec<u8>)>)
             None => expected.push((key, v)),
         }
     }
-    (store, expected)
+    drop(store);
+    (cfg, expected)
 }
 
 #[test]
 fn dram_index_recovery_rebuilds_from_headers() {
-    let (store, expected) = populated_store(IndexPlacement::Dram);
-    store.crash_and_recover().expect("recovery");
+    let dir = scratch_dir("dram_headers");
+    let (cfg, expected) = crashed_store(IndexPlacement::Dram, &dir);
+    let store = PnwStore::open(cfg).expect("recovery");
     assert_eq!(store.len(), expected.len());
     for (key, v) in &expected {
         assert_eq!(store.get(*key).unwrap().as_ref(), Some(v), "key {key}");
     }
     // Deleted keys stay deleted.
     assert_eq!(store.get(0).unwrap(), None);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn nvm_index_recovery_reads_persistent_index() {
-    let (store, expected) = populated_store(IndexPlacement::Nvm);
-    store.crash_and_recover().expect("recovery");
+    let dir = scratch_dir("nvm_index");
+    let (cfg, expected) = crashed_store(IndexPlacement::Nvm, &dir);
+    let store = PnwStore::open(cfg).expect("recovery");
     assert_eq!(store.len(), expected.len());
     for (key, v) in &expected {
         assert_eq!(store.get(*key).unwrap().as_ref(), Some(v), "key {key}");
     }
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn store_remains_fully_functional_after_recovery() {
-    let (store, expected) = populated_store(IndexPlacement::Dram);
-    store.crash_and_recover().expect("recovery");
+    let dir = scratch_dir("functional");
+    let (cfg, expected) = crashed_store(IndexPlacement::Dram, &dir);
+    let store = PnwStore::open(cfg).expect("recovery");
     let mut w = DatasetKind::Amazon.build(99);
     // Keep writing and deleting after recovery.
     for key in 1000..1064u64 {
@@ -88,18 +97,26 @@ fn store_remains_fully_functional_after_recovery() {
     assert_eq!(store.len(), expected.len() + 32);
     // The model retrained during recovery (reconstruction, §V-A.1).
     assert!(store.is_trained());
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn repeated_crashes_are_idempotent() {
-    let (store, expected) = populated_store(IndexPlacement::Dram);
+    let dir = scratch_dir("repeated");
+    let (cfg, expected) = crashed_store(IndexPlacement::Dram, &dir);
     for _ in 0..3 {
-        store.crash_and_recover().expect("recovery");
+        let store = PnwStore::open(cfg.clone()).expect("recovery");
+        assert!(store.is_trained());
+        drop(store);
     }
+    let store = PnwStore::open(cfg).expect("recovery");
     assert_eq!(store.len(), expected.len());
     for (key, v) in expected.iter().take(5) {
         assert_eq!(store.get(*key).unwrap().as_ref(), Some(v));
     }
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A torn write at the device level: the flag byte is the *first* word of
@@ -321,7 +338,7 @@ fn matrix_torn_data_write_is_unacknowledged() {
     let store = PnwStore::open(cfg.clone()).unwrap();
     let expected = apply_op_mix(&store, 21);
     // Tear after one persisted word of the next data-zone write.
-    store.arm_torn_write(1);
+    store.arm_torn_write(store.shard_of_key(999), 1);
     assert!(store.put(999, &vec![0xEE; vs]).is_err());
     drop(store);
 

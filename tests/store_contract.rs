@@ -1,15 +1,16 @@
-//! The [`Store`] trait conformance suite: one contract, five backends.
+//! The [`Store`] trait conformance suite: one contract, five stores.
 //!
 //! Every behavioral guarantee the trait documents is exercised against
-//! `PnwStore`, `ShardedPnwStore` and the three baseline stores through
-//! `Box<dyn Store>` — the exact surface the Figure 9 harness and the
+//! the PNW store at one shard (`PnwStore`, the default) and at four
+//! shards, and the three baseline stores, through `Box<dyn Store>` — the exact surface the Figure 9 harness and the
 //! throughput harness drive. If a backend drifts from the contract, it
 //! fails here, not in a harness.
 
 use pnw::core_api::{Batch, Op, PnwConfig, PnwStore, RetrainMode, ShardedPnwStore, Store, StoreError};
 use pnw_baselines::{FpTreeLike, NoveLsmLike, PathHashStore};
 
-/// Fresh instances of all five backends at the given geometry.
+/// Fresh instances of all five stores at the given geometry: PNW at one
+/// and at four shards, and the three baselines.
 fn backends(capacity: usize, value_size: usize) -> Vec<Box<dyn Store>> {
     let cfg = PnwConfig::new(capacity, value_size)
         .with_clusters(2.min(capacity))
@@ -170,35 +171,35 @@ fn batch_apply_is_equivalent_to_per_op_on_every_backend() {
     }
 }
 
-/// The acceptance criterion for the batch path: a single-shard
-/// `ShardedPnwStore` driven through `apply` produces *bit-for-bit* the
-/// same device state and accounting as the reference `PnwStore` driven
-/// per-op — the batch fast path changes cost, never writes.
+/// The acceptance criterion for the batch path: the one-shard store
+/// driven through `apply` produces *bit-for-bit* the same device state
+/// and accounting as the same store driven per-op — the batch fast path
+/// changes cost, never writes.
 #[test]
 fn single_shard_batch_path_matches_pnw_store_bit_for_bit() {
     let cfg = PnwConfig::new(256, 16)
         .with_clusters(3)
         .with_seed(99)
         .with_retrain(RetrainMode::Manual);
-    let single = PnwStore::new(cfg.clone());
-    let sharded = ShardedPnwStore::new(cfg.with_shards(1));
+    let per_op = PnwStore::new(cfg.clone());
+    let batched = PnwStore::new(cfg);
 
     // Phase 1: warm both with two bit-pattern families, then train.
     for k in 0..96u64 {
         let fill = if k % 2 == 0 { 0x00 } else { 0xFF };
-        single.put(k, &[fill; 16]).unwrap();
+        per_op.put(k, &[fill; 16]).unwrap();
     }
     let mut warm = Batch::new();
     for k in 0..96u64 {
         let fill = if k % 2 == 0 { 0x00 } else { 0xFF };
         warm.put(k, &[fill; 16]);
     }
-    assert!(sharded.apply(&warm).all_ok());
-    single.retrain_now().unwrap();
-    sharded.retrain_now().unwrap();
+    assert!(batched.apply(&warm).all_ok());
+    per_op.retrain_now().unwrap();
+    batched.retrain_now().unwrap();
 
-    // Phase 2: seeded churn — per-op on the reference, batches of 16 on
-    // the sharded store, identical op order.
+    // Phase 2: seeded churn — per-op on one store, batches of 16 on the
+    // other, identical op order.
     use rand::{rngs::StdRng, Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(0xD1CE);
     let mut ops: Vec<Op> = Vec::new();
@@ -218,10 +219,10 @@ fn single_shard_batch_path_matches_pnw_store_bit_for_bit() {
     for op in &ops {
         match op {
             Op::Put { key, value } => {
-                let _ = single.put(*key, value);
+                let _ = per_op.put(*key, value);
             }
             Op::Delete { key } => {
-                let _ = single.delete(*key);
+                let _ = per_op.delete(*key);
             }
         }
     }
@@ -230,17 +231,17 @@ fn single_shard_batch_path_matches_pnw_store_bit_for_bit() {
         for op in chunk {
             batch.push(op.clone());
         }
-        let _ = sharded.apply(&batch);
+        let _ = batched.apply(&batch);
     }
 
     // Identical bit flips, words written, lines written, ops — the whole
     // DeviceStats struct — plus contents and counters.
-    assert_eq!(single.device_stats(), sharded.device_stats());
-    assert_eq!(single.len(), sharded.len());
+    assert_eq!(per_op.device_stats(), batched.device_stats());
+    assert_eq!(per_op.len(), batched.len());
     for k in 0..128u64 {
-        assert_eq!(single.get(k).unwrap(), sharded.get(k).unwrap(), "key {k}");
+        assert_eq!(per_op.get(k).unwrap(), batched.get(k).unwrap(), "key {k}");
     }
-    let (s1, s2) = (single.snapshot(), sharded.snapshot());
+    let (s1, s2) = (per_op.snapshot(), batched.snapshot());
     assert_eq!(s1.puts, s2.puts);
     assert_eq!(s1.deletes, s2.deletes);
     assert_eq!(s1.free, s2.free);
@@ -271,18 +272,12 @@ fn batch_extends_from_reserve_exactly_like_per_op() {
     for k in 0..12u64 {
         batch.put(k, &[k as u8; 8]);
     }
-    let batched = PnwStore::new(cfg.clone());
+    let batched = PnwStore::new(cfg);
     let r = batched.apply(&batch);
     assert!(r.all_ok(), "batch must extend instead of failing: {:?}", r.failures);
     assert_eq!(batched.len(), 12);
     assert_eq!(batched.active_capacity(), per_op.active_capacity());
     assert_eq!(batched.device_stats(), per_op.device_stats());
-
-    let sharded = ShardedPnwStore::new(cfg.with_shards(1));
-    let r = sharded.apply(&batch);
-    assert!(r.all_ok(), "{:?}", r.failures);
-    assert_eq!(sharded.len(), 12);
-    assert_eq!(sharded.device_stats(), per_op.device_stats());
 }
 
 /// Regression for the deleted adapter's lossy error mapping: no backend
@@ -325,11 +320,11 @@ fn durable_cfg(capacity: usize, value_size: usize, dir: &std::path::Path) -> Pnw
 }
 
 /// The round-trip contract holds for a file-backed store *across* a
-/// drop-and-reopen cycle in the middle of the op mix — on both PNW
-/// frontends.
+/// drop-and-reopen cycle in the middle of the op mix — at one shard and
+/// at four.
 #[test]
 fn file_backed_round_trips_survive_reopen_cycles() {
-    // Single-threaded frontend.
+    // One shard (the default).
     let dir = contract_dir("roundtrip_single");
     let cfg = durable_cfg(128, 16, &dir);
     let s = PnwStore::open(cfg.clone()).unwrap();
@@ -363,7 +358,7 @@ fn file_backed_round_trips_survive_reopen_cycles() {
     drop(s);
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Sharded frontend, same mix.
+    // Four shards, same mix.
     let dir = contract_dir("roundtrip_sharded");
     let cfg = durable_cfg(128, 16, &dir).with_shards(4);
     let s = ShardedPnwStore::open(cfg.clone()).unwrap();
@@ -478,15 +473,15 @@ fn file_backed_batch_apply_equals_per_op_across_reopen() {
 }
 
 // ---------------------------------------------------------------------------
-// Integrity: detected corruption surfaces identically on both PNW frontends.
+// Integrity: detected corruption surfaces identically at any shard count.
 // ---------------------------------------------------------------------------
 
 /// A stuck bit under a sealed value turns the next read of that key into
 /// a typed `Corruption { key, .. }` error — never silently wrong bytes —
-/// and the contract is identical on the locked frontend and the sharded
-/// (lock-free-read) frontend. Unaffected keys keep serving.
+/// and the contract is identical at one shard and at four. Unaffected
+/// keys keep serving.
 #[test]
-fn corruption_surfaces_identically_on_both_pnw_frontends() {
+fn corruption_surfaces_identically_at_one_and_four_shards() {
     let cfg = PnwConfig::new(64, 16)
         .with_clusters(2)
         .with_seed(11)
@@ -517,18 +512,18 @@ fn corruption_surfaces_identically_on_both_pnw_frontends() {
         }
         assert!(store.snapshot().scrub.crc_failures >= 1, "{name}");
     };
-    check("pnw", &single, &|k, b, s| single.arm_stuck_at_key(k, b, s));
-    check("sharded-pnw", &sharded, &|k, b, s| sharded.arm_stuck_at_key(k, b, s));
+    check("1-shard", &single, &|k, b, s| single.arm_stuck_at_key(k, b, s));
+    check("4-shard", &sharded, &|k, b, s| sharded.arm_stuck_at_key(k, b, s));
 
-    // With integrity off both frontends revert to the old contract: the
+    // With integrity off both shard counts revert to the old contract: the
     // stuck bit reads back silently (no CRC, no error) — the benchmark
     // baseline, bit-identical to the pre-integrity format.
     let off = cfg.with_integrity(false);
     let single = PnwStore::new(off.clone());
     let sharded = ShardedPnwStore::new(off.with_shards(4));
     for (name, store, armed) in [
-        ("pnw-off", &single as &dyn Store, single.arm_stuck_at_key(5, 3, true)),
-        ("sharded-off", &sharded as &dyn Store, sharded.arm_stuck_at_key(5, 3, true)),
+        ("1-shard-off", &single as &dyn Store, single.arm_stuck_at_key(5, 3, true)),
+        ("4-shard-off", &sharded as &dyn Store, sharded.arm_stuck_at_key(5, 3, true)),
     ] {
         // Arm before the key exists: absent key, nothing to arm against.
         assert!(!armed.unwrap(), "{name}");
@@ -538,7 +533,7 @@ fn corruption_surfaces_identically_on_both_pnw_frontends() {
 }
 
 // ---------------------------------------------------------------------------
-// Range scans: one ordered-scan contract, five backends.
+// Range scans: one ordered-scan contract, five stores.
 // ---------------------------------------------------------------------------
 
 fn scan_keys(entries: &[(u64, Vec<u8>)]) -> Vec<u64> {
@@ -645,7 +640,7 @@ fn scan_never_observes_torn_values_under_concurrent_writes() {
 }
 
 // ---------------------------------------------------------------------------
-// TTL: lazy expiry on the read path, on both PNW frontends.
+// TTL: lazy expiry on the read path, at one shard and at four.
 // ---------------------------------------------------------------------------
 
 /// Past its deadline a key disappears from GET, `get_into` and scans —
@@ -659,11 +654,11 @@ fn ttl_expired_keys_hide_from_get_and_scan() {
         .with_seed(11)
         .with_retrain(RetrainMode::Manual)
         .with_ttl();
-    let frontends: Vec<Box<dyn Store>> = vec![
+    let stores: Vec<Box<dyn Store>> = vec![
         Box::new(PnwStore::new(cfg.clone())),
         Box::new(ShardedPnwStore::new(cfg.with_shards(4))),
     ];
-    for s in frontends {
+    for s in stores {
         let name = s.name();
         assert!(s.supports_ttl(), "{name}");
         let deadline = now_unix_ms() + 120;
